@@ -543,23 +543,21 @@ mod tests {
         let cache: SharedViewCache<u64> = SharedViewCache::new(16);
         let cache = &cache;
         let value = std::thread::scope(|s| {
-            let owner = s.spawn(move || {
-                cache.get_or_insert_with(7, || {
-                    // Deterministic overlap: hold the build open until a
-                    // second requester has registered as coalesced.
-                    // Waiters bump the counter *before* parking, so this
-                    // terminates.
-                    while cache.stats().coalesced == 0 {
-                        std::thread::yield_now();
-                    }
-                    77
-                })
+            let mut waiter = None;
+            let a = cache.get_or_insert_with(7, || {
+                // Deterministic overlap: the waiter starts only once
+                // this build is in flight, and the build is held open
+                // until the waiter has registered as coalesced. Waiters
+                // bump the counter *before* parking, so this terminates.
+                waiter = Some(s.spawn(move || {
+                    cache.get_or_insert_with(7, || panic!("waiter must coalesce, not recompute"))
+                }));
+                while cache.stats().coalesced == 0 {
+                    std::thread::yield_now();
+                }
+                77
             });
-            let waiter = s.spawn(move || {
-                cache.get_or_insert_with(7, || panic!("waiter must coalesce, not recompute"))
-            });
-            let a = owner.join().unwrap();
-            let b = waiter.join().unwrap();
+            let b = waiter.expect("the build ran").join().unwrap();
             assert!(Arc::ptr_eq(&a, &b), "one shared result");
             *a
         });
@@ -575,19 +573,19 @@ mod tests {
         let cache: SharedViewCache<u64> = SharedViewCache::new(16);
         let cache = &cache;
         std::thread::scope(|s| {
-            let owner = s.spawn(move || {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    cache.get_or_insert_with(9, || {
-                        while cache.stats().coalesced == 0 {
-                            std::thread::yield_now();
-                        }
-                        panic!("build failed");
-                    })
-                }));
-                assert!(result.is_err(), "the owner's panic propagates");
-            });
-            let waiter = s.spawn(move || cache.get_or_insert_with(9, || 99));
-            owner.join().unwrap();
+            let mut waiter = None;
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cache.get_or_insert_with(9, || {
+                    // The waiter arrives while this build is in flight.
+                    waiter = Some(s.spawn(move || cache.get_or_insert_with(9, || 99)));
+                    while cache.stats().coalesced == 0 {
+                        std::thread::yield_now();
+                    }
+                    panic!("build failed");
+                })
+            }));
+            assert!(result.is_err(), "the owner's panic propagates");
+            let waiter = waiter.expect("the build ran");
             assert_eq!(*waiter.join().unwrap(), 99, "waiter recomputed");
         });
         // The recomputed value is cached; no gate is left behind.

@@ -1,5 +1,6 @@
 //! The `easyview` binary: parse arguments, run the command, print.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -14,8 +15,19 @@ fn main() -> ExitCode {
     };
     match ev_cli::run_cli(cli) {
         Ok(output) => {
-            print!("{output}");
-            ExitCode::SUCCESS
+            let mut stdout = std::io::stdout().lock();
+            match stdout
+                .write_all(output.as_bytes())
+                .and_then(|()| stdout.flush())
+            {
+                // A reader that stopped early (`easyview ... | head`)
+                // is a normal end, as for any Unix filter.
+                Err(err) if err.kind() != ErrorKind::BrokenPipe => {
+                    eprintln!("easyview: writing output: {err}");
+                    ExitCode::FAILURE
+                }
+                _ => ExitCode::SUCCESS,
+            }
         }
         Err(err) => {
             eprintln!("easyview: {err}");

@@ -624,24 +624,27 @@ fn smoke_session(
     Ok(digest)
 }
 
-/// Deterministic request-coalescing self-check: a waiter registers on
-/// the owner's in-flight build (the build spins until the coalesced
-/// counter moves, so the rendezvous happens even on one core). Returns
-/// the number of coalesced requests observed (≥ 1).
+/// Deterministic request-coalescing self-check: a waiter, started from
+/// inside the owner's in-flight build, registers on it (the build spins
+/// until the coalesced counter moves, so the rendezvous happens even on
+/// one core). Returns the number of coalesced requests observed (1).
 fn smoke_coalesce_check() -> u64 {
     let cache: ev_analysis::SharedViewCache<u64> = ev_analysis::SharedViewCache::new(8);
+    let cache = &cache;
     std::thread::scope(|s| {
-        let owner = s.spawn(|| {
-            cache.get_or_insert_with(17, || {
-                while cache.stats().coalesced == 0 {
-                    std::thread::yield_now();
-                }
-                42
-            })
+        let mut waiter = None;
+        // The owner starts the waiter from inside its build, after the
+        // cache has published the in-flight slot, so the waiter always
+        // joins that build instead of racing the owner to start one.
+        let owned = cache.get_or_insert_with(17, || {
+            waiter = Some(s.spawn(move || cache.get_or_insert_with(17, || 42)));
+            while cache.stats().coalesced == 0 {
+                std::thread::yield_now();
+            }
+            42
         });
-        let waiter = s.spawn(|| cache.get_or_insert_with(17, || 42));
-        assert_eq!(*owner.join().unwrap(), 42);
-        assert_eq!(*waiter.join().unwrap(), 42);
+        assert_eq!(*owned, 42);
+        assert_eq!(*waiter.expect("the build ran").join().unwrap(), 42);
     });
     cache.stats().coalesced
 }
@@ -823,6 +826,15 @@ mod tests {
             .unwrap();
         assert!(coalesced >= 1);
         assert!(one.contains("bad-hex: error -32602"));
+    }
+
+    #[test]
+    fn coalesce_handshake_never_misses() {
+        // Whichever thread the scheduler favours, the waiter always
+        // joins the owner's build.
+        for round in 0..500 {
+            assert_eq!(smoke_coalesce_check(), 1, "round {round}");
+        }
     }
 
     #[test]

@@ -22,7 +22,18 @@ impl Color {
 
     /// CSS hex form (`#rrggbb`).
     pub fn to_hex(self) -> String {
-        format!("#{:02x}{:02x}{:02x}", self.r, self.g, self.b)
+        String::from_utf8(self.hex_bytes().to_vec()).expect("ASCII hex")
+    }
+
+    /// [`Color::to_hex`] as bytes, from a nibble table.
+    pub(crate) fn hex_bytes(self) -> [u8; 7] {
+        const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+        let mut out = [b'#'; 7];
+        for (i, channel) in [self.r, self.g, self.b].into_iter().enumerate() {
+            out[1 + 2 * i] = NIBBLES[usize::from(channel >> 4)];
+            out[2 + 2 * i] = NIBBLES[usize::from(channel & 0xf)];
+        }
+        out
     }
 
     /// Scales all channels by `factor` (clamped to [0, 1]), darkening
@@ -142,6 +153,11 @@ mod tests {
     fn hex_formatting() {
         assert_eq!(Color::new(255, 0, 16).to_hex(), "#ff0010");
         assert_eq!(Color::new(0, 0, 0).to_hex(), "#000000");
+        for v in 0..=255u8 {
+            let c = Color::new(v, 255 - v, v ^ 0x5a);
+            let expected = format!("#{:02x}{:02x}{:02x}", c.r, c.g, c.b);
+            assert_eq!(c.to_hex(), expected);
+        }
     }
 
     #[test]

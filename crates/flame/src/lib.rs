@@ -50,6 +50,7 @@
 mod color;
 mod correlated;
 mod differential;
+mod fixed;
 mod histogram;
 mod layout;
 pub mod render;

@@ -1342,36 +1342,6 @@ mod tests {
     }
 
     #[test]
-    fn requests_bump_counters_and_per_method_histograms() {
-        let server = EvpServer::new();
-        let requests_before = request_counter().get();
-        let errors_before = error_counter().get();
-        let init_before = method_histogram("initialize").count();
-        let unknown_before = method_histogram("bogus/method").count();
-        server
-            .handle(&Request::new(1, "initialize", Value::Null))
-            .unwrap();
-        let bad = server
-            .handle(&Request::new(2, "bogus/method", Value::Null))
-            .unwrap();
-        assert!(bad.outcome.is_err());
-        assert_eq!(request_counter().get() - requests_before, 2);
-        assert_eq!(error_counter().get() - errors_before, 1);
-        assert_eq!(method_histogram("initialize").count() - init_before, 1);
-        // Unknown methods pool into one histogram instead of growing
-        // the registry per arbitrary method string.
-        assert_eq!(method_histogram("bogus/method").count() - unknown_before, 1);
-        assert!(std::ptr::eq(
-            method_histogram("bogus/method"),
-            method_histogram("another/unknown")
-        ));
-        assert_eq!(
-            method_histogram("initialize").name(),
-            "ide.latency.initialize"
-        );
-    }
-
-    #[test]
     fn method_latency_table_is_sorted_and_resolved() {
         // binary_search demands byte order ("codeLens" < "codeLink":
         // 'e' < 'i'); every capability must resolve to its own

@@ -6,6 +6,12 @@
 //! on a `Condvar` guarded by a pending-task counter; the counter is
 //! only mutated under the same mutex, so wakeups cannot be lost.
 //!
+//! The counter is exact by construction: a publisher raises it *before*
+//! it enqueues, and a claimer lowers it *after* it dequeues. It
+//! therefore never falls below the number of queued tasks, a claim
+//! always finds it at least 1, and it returns to exactly 0 once the
+//! deques drain — so idle workers park instead of rescanning.
+//!
 //! A *job* is a stack-allocated [`JobCore`] — a lifetime-erased
 //! reference to the task closure plus a completion latch. Workers never
 //! touch a job after bumping its latch to the total, and the submitting
@@ -69,11 +75,20 @@ impl JobCore {
 struct Shared {
     /// One deque per worker; callers push round-robin.
     deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Count of queued (not yet claimed) tasks. Mutated only under
-    /// this mutex so sleepers and pushers cannot race.
-    pending: Mutex<usize>,
+    /// The sleep/wake bookkeeping, under one mutex so sleepers and
+    /// publishers cannot race.
+    idle: Mutex<Idle>,
     /// Wakes idle workers when tasks arrive.
     wake: Condvar,
+}
+
+/// Counts guarded by [`Shared::idle`].
+struct Idle {
+    /// Tasks published and not yet claimed: always at least the number
+    /// of tasks in the deques (see module docs).
+    pending: usize,
+    /// Workers waiting on [`Shared::wake`].
+    parked: usize,
 }
 
 impl Shared {
@@ -96,24 +111,25 @@ impl Shared {
         None
     }
 
-    /// Accounts for one claimed task.
+    /// Accounts for one claimed task. Its publisher raised the count
+    /// before enqueueing it, so the count covers it.
     fn settle(&self) {
-        let mut pending = self.pending.lock().unwrap();
-        *pending = pending.saturating_sub(1);
+        let mut idle = self.idle.lock().unwrap();
+        debug_assert!(idle.pending > 0, "ev-par: claimed a task the count missed");
+        idle.pending -= 1;
     }
 
     /// Publishes `tasks` across the deques starting at `home` and wakes
-    /// sleepers. Tasks are enqueued before the counter rises, so a
-    /// woken worker always finds what the counter promises.
+    /// sleepers. The count rises before any task is enqueued: a worker
+    /// may claim a task the moment it lands, and its [`Shared::settle`]
+    /// must find the task already counted. A worker that sees the count
+    /// before the tasks land rescans until they do.
     fn publish(&self, home: usize, tasks: impl ExactSizeIterator<Item = Task>) {
+        self.idle.lock().unwrap().pending += tasks.len();
         let n = self.deques.len();
-        let count = tasks.len();
         for (i, task) in tasks.enumerate() {
             self.deques[(home + i) % n].lock().unwrap().push_back(task);
         }
-        let mut pending = self.pending.lock().unwrap();
-        *pending += count;
-        drop(pending);
         self.wake.notify_all();
     }
 }
@@ -162,18 +178,18 @@ fn worker_loop(shared: &'static Shared, me: usize) {
             }
             continue;
         }
-        let pending = shared.pending.lock().unwrap();
+        let mut idle = shared.idle.lock().unwrap();
         // Re-check under the lock: a publish between our failed scan
         // and this lock raised the counter, so skip the wait and scan
         // again rather than sleeping through the notification.
-        if *pending == 0 {
-            if ev_trace::enabled() {
-                let start = ev_trace::now_ns();
-                drop(shared.wake.wait(pending).unwrap());
+        if idle.pending == 0 {
+            idle.parked += 1;
+            let start = ev_trace::enabled().then(ev_trace::now_ns);
+            idle = shared.wake.wait(idle).unwrap();
+            if let Some(start) = start {
                 metrics.idle_ns.add(ev_trace::now_ns() - start);
-            } else {
-                drop(shared.wake.wait(pending).unwrap());
             }
+            idle.parked -= 1;
         }
     }
 }
@@ -183,21 +199,26 @@ static POOL: OnceLock<Pool> = OnceLock::new();
 impl Pool {
     /// The process-wide pool, spawning workers on first use.
     pub(crate) fn global() -> &'static Pool {
-        POOL.get_or_init(|| {
-            let workers = crate::max_threads();
-            let shared: &'static Shared = Box::leak(Box::new(Shared {
-                deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-                pending: Mutex::new(0),
-                wake: Condvar::new(),
-            }));
-            for me in 0..workers {
-                thread::Builder::new()
-                    .name(format!("ev-par-{me}"))
-                    .spawn(move || worker_loop(shared, me))
-                    .expect("spawn ev-par worker");
-            }
-            Pool { shared, workers }
-        })
+        POOL.get_or_init(|| Pool::spawn(crate::max_threads()))
+    }
+
+    /// Spawns a pool of `workers` threads that live for the process.
+    fn spawn(workers: usize) -> Pool {
+        let shared: &'static Shared = Box::leak(Box::new(Shared {
+            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            idle: Mutex::new(Idle {
+                pending: 0,
+                parked: 0,
+            }),
+            wake: Condvar::new(),
+        }));
+        for me in 0..workers {
+            thread::Builder::new()
+                .name(format!("ev-par-{me}"))
+                .spawn(move || worker_loop(shared, me))
+                .expect("spawn ev-par worker");
+        }
+        Pool { shared, workers }
     }
 
     /// Number of workers in the pool.
@@ -267,5 +288,69 @@ impl Pool {
         if job.panicked.load(Ordering::Relaxed) {
             panic!("ev-par: a parallel task panicked");
         }
+    }
+}
+
+#[cfg(test)]
+impl Pool {
+    /// Tasks published and not yet claimed.
+    fn pending(&self) -> usize {
+        self.shared.idle.lock().unwrap().pending
+    }
+
+    /// Workers parked on the wake condvar.
+    fn parked(&self) -> usize {
+        self.shared.idle.lock().unwrap().parked
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn pending_count_is_exact_after_every_job() {
+        // A private pool: the global one is shared with concurrently
+        // running tests, whose jobs would show up in its count.
+        let pool = Pool::spawn(4);
+        let ran = AtomicUsize::new(0);
+        for job in 0..20_000 {
+            pool.run_scope(8, &|_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(pool.pending(), 0, "job {job} left the count raised");
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), 8 * 20_000);
+    }
+
+    #[test]
+    fn idle_workers_park_after_a_burst() {
+        let pool = Pool::spawn(3);
+        for _ in 0..20_000 {
+            pool.run_scope(8, &|i| {
+                std::hint::black_box(i);
+            });
+        }
+        // Parked workers hold no task and wait for a publish; a worker
+        // that kept rescanning would never count as parked. The bound
+        // only keeps a broken pool from hanging the suite.
+        let mut polls = 0;
+        while pool.parked() < pool.workers() {
+            polls += 1;
+            assert!(
+                polls < 30_000,
+                "workers never parked (pending {})",
+                pool.pending()
+            );
+            thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(pool.pending(), 0);
+        // Parked workers wake for the next job.
+        let hits = AtomicUsize::new(0);
+        pool.run_scope(16, &|_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 16);
     }
 }
